@@ -193,7 +193,7 @@ impl BitTensor4 {
 
     /// Copy images `[start, start + len)` into a new tensor. The NPHWC
     /// layout is batch-major, so this is one contiguous memcpy — the batch
-    /// sharding primitive behind `infer_batched` serving.
+    /// sharding primitive behind the allocating conv's image shards.
     pub fn batch_slice(&self, start: usize, len: usize) -> BitTensor4 {
         assert!(start + len <= self.n, "batch slice out of range");
         let stride = self.image_stride();

@@ -1,32 +1,26 @@
-//! Functional multi-threaded CPU backend for APConv.
+//! Functional CPU backend for APConv.
 //!
 //! Direct convolution over the channel-major packed layout: for every output
 //! pixel the `KH·KW` window taps are gathered as aligned channel vectors
 //! (the CPU analogue of the coalesced NPHWC reads of §4.2(a)), then every
 //! output channel reduces against its packed weight row with XOR/AND +
 //! popcount. Out-of-frame taps follow the input-aware padding strategies.
+//!
+//! One sequential driver, `conv_exec_seq`, runs every convolution on the
+//! calling thread with a reused window gather. Parallelism comes from batch
+//! shards only: compiled inference shards requests across workspaces, and
+//! the allocating `execute` forms fan the batch's images out over the Rayon
+//! pool (`conv_exec_sharded`), each image running the same driver.
 
 use apnn_bitpack::{BitTensor4, Encoding, PopcntArm};
 use rayon::prelude::*;
 
-use super::padding::{correct_xor_window, fill_words, pad_fill, valid_row_popc, PadFill};
-use super::{ConvDesc, ConvOutput, ConvWeights, Pool2};
+use super::padding::{correct_xor_window, fill_words, pad_fill, valid_row_popc};
+use super::{ConvDesc, ConvWeights, Pool2};
 use crate::autotune::{select_micro, MicroTile};
 use crate::fusion::Epilogue;
 use crate::micro::{popc_tile, PlaneView, MAX_TILE};
 use crate::select::{plan, EmulationCase};
-
-/// Gathered window for one output pixel: per activation plane, the
-/// concatenated tap words, plus the out-of-frame bookkeeping.
-struct Window {
-    /// `q` planes × (taps · words_per_tap) words.
-    planes: Vec<Vec<u64>>,
-    /// Indices of out-of-frame taps.
-    oob_taps: Vec<usize>,
-    /// Per-plane popcount of the gathered bits (the `J·X` window sum used by
-    /// Case III; pads are zero there so this equals the valid-bit sum).
-    plane_popc: Vec<i32>,
-}
 
 /// Input coordinates + frame status of window tap `(ky, kx)` for output
 /// pixel `(oy, ox)` — the **single** copy of the stride/padding index
@@ -39,67 +33,12 @@ fn tap_coords(desc: &ConvDesc, oy: usize, ox: usize, ky: usize, kx: usize) -> (i
     (iy, ix, in_frame)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn gather_window(
-    desc: &ConvDesc,
-    input: &BitTensor4,
-    fill: PadFill,
-    fill_pattern: &[u64],
-    b: usize,
-    oy: usize,
-    ox: usize,
-    need_popc: bool,
-) -> Window {
-    let wpt = input.words_per_pixel();
-    let taps = desc.kh * desc.kw;
-    let q = desc.x_bits as usize;
-    let mut planes = vec![vec![0u64; taps * wpt]; q];
-    let mut oob_taps = Vec::new();
-    for ky in 0..desc.kh {
-        for kx in 0..desc.kw {
-            let tap = ky * desc.kw + kx;
-            let (iy, ix, in_frame) = tap_coords(desc, oy, ox, ky, kx);
-            if in_frame {
-                for (t, plane) in planes.iter_mut().enumerate() {
-                    plane[tap * wpt..(tap + 1) * wpt].copy_from_slice(input.pixel_words(
-                        b,
-                        t as u32,
-                        iy as usize,
-                        ix as usize,
-                    ));
-                }
-            } else {
-                oob_taps.push(tap);
-                if fill != PadFill::Zeros {
-                    for plane in planes.iter_mut() {
-                        plane[tap * wpt..(tap + 1) * wpt].copy_from_slice(fill_pattern);
-                    }
-                }
-            }
-        }
-    }
-    let plane_popc = if need_popc {
-        planes
-            .iter()
-            .map(|p| p.iter().map(|w| w.count_ones()).sum::<u32>() as i32)
-            .collect()
-    } else {
-        Vec::new()
-    };
-    Window {
-        planes,
-        oob_taps,
-        plane_popc,
-    }
-}
-
 /// Per-call-invariant execution state for a convolution: the emulation plan
 /// and the materialized padding pattern. Compiled plans build this once;
-/// the ad-hoc [`conv_cpu`] entry point rebuilds it per call.
+/// the ad-hoc `ApConv::execute` forms rebuild it per call.
 #[derive(Debug, Clone)]
 pub struct ConvExecPlan {
     pub(crate) eplan: crate::select::EmulationPlan,
-    pub(crate) fill: PadFill,
     pub(crate) fill_pattern: Vec<u64>,
     /// CPU microkernel `(JB, KB)` tile: the column block runs over output
     /// channels (they share each loaded window word). Chosen once here —
@@ -130,7 +69,6 @@ impl ConvExecPlan {
         );
         ConvExecPlan {
             eplan,
-            fill,
             fill_pattern,
             micro,
             arm,
@@ -211,11 +149,10 @@ impl ConvScratch {
     }
 }
 
-/// Gather one output pixel's window into the reused scratch buffers
-/// (the allocation-free form of [`gather_window`]). Every tap's words are
-/// overwritten — in-frame taps copy the input, out-of-frame taps write the
-/// fill pattern (or zeros) — so stale data from the previous pixel never
-/// survives.
+/// Gather one output pixel's window into the reused scratch buffers. Every
+/// tap's words are overwritten — in-frame taps copy the input, out-of-frame
+/// taps write the fill pattern (or zeros) — so stale data from the previous
+/// pixel never survives.
 ///
 /// `shift_prev` enables the stride-1 fast path: when the scratch still
 /// holds this row's previous window (`(b, oy, ox−1)` at stride 1), tap
@@ -354,9 +291,7 @@ fn gather_window_seq(
 /// output-channel block. The `[j][t][s]` tile orientation comes from the
 /// conv call shape (A side = window planes, B side = weight rows); the
 /// s-outer / t-inner accumulation order matches the pre-microkernel
-/// kernels, so results are bit-identical. This is the **single** copy of
-/// the conv correction arithmetic — both the parallel and the sequential
-/// path consume their tiles here.
+/// kernels, so results are bit-identical.
 #[allow(clippy::too_many_arguments)]
 fn combine_conv_block(
     desc: &ConvDesc,
@@ -392,7 +327,7 @@ fn combine_conv_block(
                         2 * popc - valid_row_popc(weights.row_popc(s as u32, co), oob_w_popc)
                     }
                     // The XOR-only (Turing) derivations are supported at
-                    // the GEMM level (`apmm_cpu_with_plan`); the direct
+                    // the GEMM level (`PreparedApmm::with_plan`); the direct
                     // convolution always plans for the target device via
                     // `plan(..)`, which never emits them here.
                     EmulationCase::XorDerivedUnsigned
@@ -408,17 +343,18 @@ fn combine_conv_block(
     }
 }
 
-/// Sequential zero-allocation core of the prepared conv path: identical
-/// arithmetic (same per-element accumulation order, hence bit-identical
-/// results) to [`conv_exec`], running on the calling thread with a reused
-/// window gather. Serving workers are the concurrency unit for this path.
+/// The APConv driver: convolve `input` (whose batch may be ≤ `desc.batch`
+/// when a compiled plan serves a partial shard) on the calling thread with
+/// a reused window gather, storing every NHWC i32 accumulator of `out`
+/// (which must hold exactly `batch·out_h·out_w·cout` elements). Performs no
+/// heap allocation once `scratch` has reached the layer's window size.
 pub(crate) fn conv_exec_seq(
     desc: &ConvDesc,
     weights: &ConvWeights,
     input: &BitTensor4,
     eplan_state: &ConvExecPlan,
     scratch: &mut WindowScratch,
-    out: &mut Vec<i32>,
+    out: &mut [i32],
 ) {
     let (n, h, w, c) = input.shape();
     assert!(n <= desc.batch, "input batch exceeds plan batch");
@@ -432,7 +368,6 @@ pub(crate) fn conv_exec_seq(
 
     let ConvExecPlan {
         eplan,
-        fill: _,
         fill_pattern,
         micro,
         arm,
@@ -447,9 +382,7 @@ pub(crate) fn conv_exec_seq(
     let pixels = n * oh * ow;
     let wpt = input.words_per_pixel();
     let plane_words = taps * wpt;
-    // Every element of `[0, pixels·cout)` is stored by the loop below, so
-    // the accumulator reshape pays no zeroing pass.
-    apnn_bitpack::resize_for_overwrite(out, pixels * cout);
+    assert_eq!(out.len(), pixels * cout, "accumulator buffer mis-sized");
 
     let MicroTile { jb, kb } = micro.sanitized();
     let w_view = PlaneView::from_bitplanes(weights.planes());
@@ -534,7 +467,7 @@ pub(crate) fn conv_exec_fused_seq(
         acc,
         pooled,
     } = scratch;
-    conv_exec_seq(desc, weights, input, eplan_state, window, acc);
+    conv_exec_into(desc, weights, input, eplan_state, window, acc);
     if let Some(res) = residual {
         assert_eq!(
             res.len(),
@@ -573,135 +506,52 @@ pub(crate) fn conv_exec_fused_seq(
     }
 }
 
-/// Direct convolution returning NHWC i32 accumulators.
-pub fn conv_cpu(desc: &ConvDesc, weights: &ConvWeights, input: &BitTensor4) -> Vec<i32> {
-    let (n, ..) = input.shape();
-    assert_eq!(n, desc.batch, "batch mismatch");
-    conv_exec(desc, weights, input, &ConvExecPlan::new(desc, weights))
-}
-
-/// [`conv_cpu`] with an explicit microkernel tile — the knob the
-/// differential proptests and the kernel-level bench sweep turn. Any tile
-/// is bit-identical (exact i32 accumulation); only throughput moves.
-pub fn conv_cpu_with_micro(
+/// [`conv_exec_seq`] into a caller-owned `Vec`, resized in place to the
+/// shard's accumulator count. Every element is stored by the driver, so
+/// the reshape pays no zeroing pass.
+pub(crate) fn conv_exec_into(
     desc: &ConvDesc,
     weights: &ConvWeights,
     input: &BitTensor4,
-    micro: MicroTile,
-) -> Vec<i32> {
-    let (n, ..) = input.shape();
-    assert_eq!(n, desc.batch, "batch mismatch");
-    let state = ConvExecPlan::new(desc, weights).with_micro(micro);
-    conv_exec(desc, weights, input, &state)
+    eplan_state: &ConvExecPlan,
+    scratch: &mut WindowScratch,
+    out: &mut Vec<i32>,
+) {
+    let per_image = desc.out_h() * desc.out_w() * desc.cout;
+    apnn_bitpack::resize_for_overwrite(out, input.shape().0 * per_image);
+    conv_exec_seq(desc, weights, input, eplan_state, scratch, out);
 }
 
-/// [`conv_cpu_with_micro`] with an explicit popcount arm as well — the
-/// differential tests pin both knobs; every (tile, arm) pair is
-/// bit-identical.
-pub fn conv_cpu_tuned(
-    desc: &ConvDesc,
-    weights: &ConvWeights,
-    input: &BitTensor4,
-    micro: MicroTile,
-    arm: PopcntArm,
-) -> Vec<i32> {
-    let (n, ..) = input.shape();
-    assert_eq!(n, desc.batch, "batch mismatch");
-    let state = ConvExecPlan::new(desc, weights)
-        .with_micro(micro)
-        .with_arm(arm);
-    conv_exec(desc, weights, input, &state)
-}
-
-/// Shared core: convolve `input` (whose batch may be ≤ `desc.batch` when a
-/// compiled plan serves a partial shard) with prepared invariants.
-pub(crate) fn conv_exec(
+/// The allocating convolution: NHWC i32 accumulators in a fresh buffer.
+/// Every image is a shard: the images fan out over the Rayon pool, each
+/// participant running [`conv_exec_seq`] with its own window scratch into
+/// the image's disjoint chunk of the output. The driver never looks across
+/// images, so the result is bit-identical to one call over the whole batch.
+/// One-image shards (rather than one shard per thread) let whichever pool
+/// thread is free take the next image, so a participant that starts late
+/// or is descheduled never leaves the others waiting on a fixed half.
+pub(crate) fn conv_exec_sharded(
     desc: &ConvDesc,
     weights: &ConvWeights,
     input: &BitTensor4,
     eplan_state: &ConvExecPlan,
 ) -> Vec<i32> {
-    let (n, h, w, c) = input.shape();
-    assert!(n <= desc.batch, "input batch exceeds plan batch");
-    assert_eq!((h, w, c), (desc.h, desc.w, desc.cin));
-    assert_eq!(input.bits(), desc.x_bits);
-    assert_eq!(input.encoding(), desc.x_enc);
-    let (cout, taps, cin, _padded) = weights.dims();
-    assert_eq!(cout, desc.cout);
-    assert_eq!(taps, desc.kh * desc.kw);
-    assert_eq!(cin, desc.cin);
-
-    let ConvExecPlan {
-        eplan,
-        fill,
-        fill_pattern,
-        micro,
-        arm,
-    } = eplan_state;
-    let (eplan, fill) = (*eplan, *fill);
-    let arm = arm.sanitized();
-    let need_popc = eplan.case == EmulationCase::AndWeightTransformed;
-
-    let (oh, ow) = (desc.out_h(), desc.out_w());
-    let p = desc.w_bits as usize;
-    let q = desc.x_bits as usize;
-    let pixels = n * oh * ow;
-    let mut out = vec![0i32; pixels * cout];
-    if pixels == 0 {
+    let n = input.shape().0;
+    let per_image = desc.out_h() * desc.out_w() * desc.cout;
+    let mut out = vec![0i32; n * per_image];
+    if n <= 1 {
+        let scratch = &mut WindowScratch::default();
+        conv_exec_seq(desc, weights, input, eplan_state, scratch, &mut out);
         return out;
     }
-    let MicroTile { jb, kb } = micro.sanitized();
-    let plane_words = taps * input.words_per_pixel();
-    let w_view = PlaneView::from_bitplanes(weights.planes());
-
-    out.par_chunks_mut(cout).enumerate().for_each_init(
-        // One accumulator tile per pool participant, reused across
-        // every output pixel it claims (popc_tile zeroes the live
-        // prefix itself — no per-pixel 2 KiB init).
-        || [0i32; MAX_TILE],
-        |tile, (pix, chunk)| {
-            let b = pix / (oh * ow);
-            let oy = (pix / ow) % oh;
-            let ox = pix % ow;
-            let win = gather_window(desc, input, fill, fill_pattern, b, oy, ox, need_popc);
-            let valid_taps = (taps - win.oob_taps.len()) as i32;
-            let oob_taps = win.oob_taps.len() as i32;
-            let win_view = PlaneView::from_plane_rows(&win.planes, plane_words);
-
-            let mut co0 = 0;
-            while co0 < cout {
-                let jbc = jb.min(cout - co0);
-                let live = &mut tile[..jbc * q * p];
-                popc_tile(eplan.op, arm, &win_view, 0, &w_view, co0, jbc, kb, live);
-                combine_conv_block(
-                    desc,
-                    weights,
-                    eplan.case,
-                    live,
-                    co0,
-                    &win.oob_taps,
-                    &win.plane_popc,
-                    valid_taps,
-                    oob_taps,
-                    &mut chunk[co0..co0 + jbc],
-                );
-                co0 += jbc;
-            }
+    out.par_chunks_mut(per_image).enumerate().for_each_init(
+        WindowScratch::default,
+        |scratch, (b, chunk)| {
+            let image = input.batch_slice(b, 1);
+            conv_exec_seq(desc, weights, &image, eplan_state, scratch, chunk);
         },
     );
     out
-}
-
-/// Convolution with fused 2×2 pooling and element-wise epilogue (§5.2).
-pub fn conv_cpu_fused(
-    desc: &ConvDesc,
-    weights: &ConvWeights,
-    input: &BitTensor4,
-    pool: Option<Pool2>,
-    epi: &Epilogue,
-) -> ConvOutput {
-    let state = ConvExecPlan::new(desc, weights);
-    conv_exec_fused(desc, weights, input, &state, pool, epi)
 }
 
 /// Fused 2×2/stride-2 pooling over NHWC i32 accumulators — the shared
@@ -753,58 +603,10 @@ pub fn pool2_i32_into(
     }
 }
 
-/// [`conv_exec`] + fused pooling/epilogue over the actual input batch.
-pub(crate) fn conv_exec_fused(
-    desc: &ConvDesc,
-    weights: &ConvWeights,
-    input: &BitTensor4,
-    eplan_state: &ConvExecPlan,
-    pool: Option<Pool2>,
-    epi: &Epilogue,
-) -> ConvOutput {
-    let y = conv_exec(desc, weights, input, eplan_state);
-    let batch = input.shape().0;
-    let (oh, ow) = (desc.out_h(), desc.out_w());
-    let cout = desc.cout;
-
-    // Optional fused pooling on the i32 accumulators.
-    let (ph, pw, pooled) = match pool {
-        None => (oh, ow, y),
-        Some(kind) => (oh / 2, ow / 2, pool2_i32(&y, batch, oh, ow, cout, kind)),
-    };
-
-    match epi.output_bits() {
-        None => {
-            // Element-wise epilogue without quantization keeps i32.
-            let mut v = pooled;
-            if !epi.ops().is_empty() {
-                for (idx, e) in v.iter_mut().enumerate() {
-                    let co = idx % cout;
-                    *e = epi.apply(*e, co) as i32;
-                }
-            }
-            ConvOutput::Int32(v)
-        }
-        Some(bits) => {
-            let mut t = BitTensor4::zeros(batch, ph, pw, cout, bits, Encoding::ZeroOne);
-            for b in 0..batch {
-                for py in 0..ph {
-                    for px in 0..pw {
-                        for co in 0..cout {
-                            let acc = pooled[((b * ph + py) * pw + px) * cout + co];
-                            t.set_code(b, py, px, co, epi.apply_to_code(acc, co));
-                        }
-                    }
-                }
-            }
-            ConvOutput::Packed(t)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apconv::{ApConv, ConvOutput};
     use crate::reference::conv2d_i32;
     use apnn_bitpack::{Layout, Tensor4};
 
@@ -858,7 +660,7 @@ mod tests {
         let mut seed = seed;
         let (input, x_vals) = make_input(desc, &mut seed);
         let (weights, w_vals) = make_weights(desc, &mut seed);
-        let got = conv_cpu(desc, &weights, &input);
+        let got = ApConv::new(*desc).execute(&weights, &input);
         let want = conv2d_i32(
             &x_vals,
             &w_vals,
@@ -923,7 +725,7 @@ mod tests {
         let (input, x_vals) = make_input(&desc, &mut seed);
         let (weights, w_vals) = make_weights(&desc, &mut seed);
         let epi = Epilogue::quantize(4.0, 0.0, 2);
-        let out = conv_cpu_fused(&desc, &weights, &input, Some(Pool2::Max), &epi);
+        let out = ApConv::new(desc).execute_fused(&weights, &input, Some(Pool2::Max), &epi);
         let ConvOutput::Packed(packed) = out else {
             panic!("expected packed")
         };
@@ -980,8 +782,9 @@ mod tests {
             };
             let state = ConvExecPlan::new(desc, &weights);
             // One scratch reused across every desc: shapes shrink and grow.
-            conv_exec_seq(desc, &weights, &input, &state, &mut scratch, &mut out);
-            assert_eq!(out, conv_cpu(desc, &weights, &input), "desc {desc:?}");
+            conv_exec_into(desc, &weights, &input, &state, &mut scratch, &mut out);
+            let pooled = ApConv::new(*desc).execute(&weights, &input);
+            assert_eq!(out, pooled, "desc {desc:?}");
         }
     }
 
@@ -1014,19 +817,19 @@ mod tests {
             } else {
                 make_weights(desc, &mut seed).0
             };
-            let want = conv_cpu(desc, &weights, &input);
+            let want = ApConv::new(*desc).execute(&weights, &input);
             let mut scratch = WindowScratch::default();
             let mut out = Vec::new();
             for jb in [1usize, 2, 8] {
                 for kb in [1usize, 4, 64] {
                     let micro = MicroTile { jb, kb };
-                    assert_eq!(
-                        conv_cpu_with_micro(desc, &weights, &input, micro),
-                        want,
-                        "parallel jb={jb} kb={kb} desc {desc:?}"
-                    );
                     let state = ConvExecPlan::new(desc, &weights).with_micro(micro);
-                    conv_exec_seq(desc, &weights, &input, &state, &mut scratch, &mut out);
+                    assert_eq!(
+                        conv_exec_sharded(desc, &weights, &input, &state),
+                        want,
+                        "sharded jb={jb} kb={kb} desc {desc:?}"
+                    );
+                    conv_exec_into(desc, &weights, &input, &state, &mut scratch, &mut out);
                     assert_eq!(out, want, "seq jb={jb} kb={kb} desc {desc:?}");
                 }
             }
@@ -1036,7 +839,7 @@ mod tests {
     #[test]
     fn every_available_arm_is_bit_identical_for_conv() {
         // One Ampere case per encoding class, run through every popcount
-        // arm on both the parallel and sequential paths. Unavailable arms
+        // arm on both the sharded and the workspace form. Unavailable arms
         // sanitize to the detected best — still exact, so asserting on
         // the full set is safe on any host.
         let mut descs = vec![ConvDesc::unsigned(2, 5, 7, 9, 3, 1, 1, 2, 2)];
@@ -1060,18 +863,18 @@ mod tests {
             } else {
                 make_weights(desc, &mut seed).0
             };
-            let want = conv_cpu(desc, &weights, &input);
+            let want = ApConv::new(*desc).execute(&weights, &input);
             let mut scratch = WindowScratch::default();
             let mut out = Vec::new();
             for arm in PopcntArm::ALL {
                 let state = ConvExecPlan::new(desc, &weights).with_arm(arm);
                 assert_eq!(
-                    conv_exec(desc, &weights, &input, &state),
+                    conv_exec_sharded(desc, &weights, &input, &state),
                     want,
-                    "parallel arm {} desc {desc:?}",
+                    "sharded arm {} desc {desc:?}",
                     arm.label()
                 );
-                conv_exec_seq(desc, &weights, &input, &state, &mut scratch, &mut out);
+                conv_exec_into(desc, &weights, &input, &state, &mut scratch, &mut out);
                 assert_eq!(out, want, "seq arm {} desc {desc:?}", arm.label());
             }
         }
@@ -1079,8 +882,8 @@ mod tests {
 
     #[test]
     fn ad_hoc_conv_entry_reuses_the_shape_keyed_memo() {
-        // Satellite contract: `conv_cpu` rebuilds its `ConvExecPlan` per
-        // call, but tile selection must go through the shape-keyed memo —
+        // `ApConv::execute` rebuilds its `ConvExecPlan` per call, but tile
+        // selection must go through the shape-keyed memo —
         // first call per layer shape selects (and, in measured mode,
         // benches) once; repeats move neither counter. The shape is unique
         // to this test so the first call is a guaranteed memo miss.
@@ -1089,13 +892,14 @@ mod tests {
         let (input, _) = make_input(&desc, &mut seed);
         let (weights, _) = make_weights(&desc, &mut seed);
 
+        let conv = ApConv::new(desc);
         let s = crate::stats::scope();
-        let y1 = conv_cpu(&desc, &weights, &input);
+        let y1 = conv.execute(&weights, &input);
         assert_eq!(s.micro_tunes(), 1, "first call per shape selects once");
         assert!(s.micro_benches() <= 1);
         let (tunes, benches) = (s.micro_tunes(), s.micro_benches());
-        let y2 = conv_cpu(&desc, &weights, &input);
-        let y3 = conv_cpu(&desc, &weights, &input);
+        let y2 = conv.execute(&weights, &input);
+        let y3 = conv.execute(&weights, &input);
         assert_eq!(
             (s.micro_tunes(), s.micro_benches()),
             (tunes, benches),
@@ -1177,7 +981,8 @@ mod tests {
                 &mut scratch,
                 &mut packed,
             );
-            let ConvOutput::Packed(want) = conv_cpu_fused(&desc, &weights, &input, pool, &epi)
+            let ConvOutput::Packed(want) =
+                ApConv::new(desc).execute_fused(&weights, &input, pool, &epi)
             else {
                 panic!("expected packed")
             };
@@ -1211,7 +1016,7 @@ mod tests {
         );
 
         // Oracle: raw accumulators + residual, then the epilogue.
-        let raw = conv_cpu(&desc, &weights, &input);
+        let raw = ApConv::new(desc).execute(&weights, &input);
         for b in 0..desc.batch {
             for y in 0..desc.out_h() {
                 for x in 0..desc.out_w() {
@@ -1231,7 +1036,8 @@ mod tests {
         let mut seed = 17;
         let (input, _) = make_input(&desc, &mut seed);
         let (weights, _) = make_weights(&desc, &mut seed);
-        let out = conv_cpu_fused(&desc, &weights, &input, Some(Pool2::Avg), &Epilogue::none());
+        let out =
+            ApConv::new(desc).execute_fused(&weights, &input, Some(Pool2::Avg), &Epilogue::none());
         let ConvOutput::Int32(v) = out else {
             panic!("expected i32")
         };

@@ -185,8 +185,13 @@ impl ApConv {
     }
 
     /// Functional CPU convolution over packed operands. Returns NHWC i32.
+    /// The per-call execution state is rebuilt each call (tile selection
+    /// goes through the shape-keyed memo); the batch's images fan out over
+    /// the Rayon pool, each on the one sequential driver.
     pub fn execute(&self, weights: &ConvWeights, input: &BitTensor4) -> Vec<i32> {
-        cpu::conv_cpu(&self.desc, weights, input)
+        assert_eq!(input.shape().0, self.desc.batch, "batch mismatch");
+        let state = cpu::ConvExecPlan::new(&self.desc, weights);
+        cpu::conv_exec_sharded(&self.desc, weights, input, &state)
     }
 
     /// Functional CPU convolution with fused pooling + epilogue.
@@ -197,7 +202,8 @@ impl ApConv {
         pool: Option<Pool2>,
         epi: &Epilogue,
     ) -> ConvOutput {
-        cpu::conv_cpu_fused(&self.desc, weights, input, pool, epi)
+        let y = self.execute(weights, input);
+        finish_fused(&self.desc, y, input.shape().0, pool, epi)
     }
 
     /// Hoist every per-call invariant out of the serving loop: take
@@ -293,9 +299,12 @@ impl PreparedConv {
         self
     }
 
-    /// NHWC i32 accumulators for an input shard (batch ≤ compiled batch).
+    /// NHWC i32 accumulators for an input shard (batch ≤ compiled batch),
+    /// in a fresh buffer. The shard's images fan out over the Rayon pool,
+    /// each on the one sequential driver — bit-identical to
+    /// [`PreparedConv::execute_into`].
     pub fn execute(&self, input: &BitTensor4) -> Vec<i32> {
-        cpu::conv_exec(&self.desc, &self.weights, input, &self.exec_plan)
+        cpu::conv_exec_sharded(&self.desc, &self.weights, input, &self.exec_plan)
     }
 
     /// Fused pooling + epilogue execution for an input shard.
@@ -305,21 +314,20 @@ impl PreparedConv {
         pool: Option<Pool2>,
         epi: &Epilogue,
     ) -> ConvOutput {
-        cpu::conv_exec_fused(&self.desc, &self.weights, input, &self.exec_plan, pool, epi)
+        finish_fused(&self.desc, self.execute(input), input.shape().0, pool, epi)
     }
 
-    /// Sequential workspace form of [`PreparedConv::execute`]: NHWC i32
-    /// accumulators land in `out`, the window gather reuses `scratch`, and
-    /// — once the buffers have reached the plan's full-batch capacity — the
-    /// call performs **zero heap allocations**. Bit-identical to the
-    /// thread-pool path (integer-exact kernels, same accumulation order).
+    /// Workspace form of [`PreparedConv::execute`]: NHWC i32 accumulators
+    /// land in `out`, the window gather reuses `scratch`, and — once the
+    /// buffers have reached the plan's full-batch capacity — the call
+    /// performs **zero heap allocations**. Runs on the calling thread.
     pub fn execute_into(
         &self,
         input: &BitTensor4,
         scratch: &mut cpu::ConvScratch,
         out: &mut Vec<i32>,
     ) {
-        cpu::conv_exec_seq(
+        cpu::conv_exec_into(
             &self.desc,
             &self.weights,
             input,
@@ -382,6 +390,47 @@ impl PreparedConv {
             scratch,
             out,
         );
+    }
+}
+
+/// Optional 2×2 pooling and the epilogue over raw NHWC accumulators of a
+/// `batch`-image execution: packed channel-major activations when the
+/// chain quantizes, epilogue-transformed i32 otherwise. Single
+/// implementation shared by the ad-hoc and prepared allocating forms.
+fn finish_fused(
+    desc: &ConvDesc,
+    y: Vec<i32>,
+    batch: usize,
+    pool: Option<Pool2>,
+    epi: &Epilogue,
+) -> ConvOutput {
+    let (oh, ow, cout) = (desc.out_h(), desc.out_w(), desc.cout);
+    let (ph, pw, mut vals) = match pool {
+        None => (oh, ow, y),
+        Some(kind) => (
+            oh / 2,
+            ow / 2,
+            cpu::pool2_i32(&y, batch, oh, ow, cout, kind),
+        ),
+    };
+    match epi.output_bits() {
+        None => {
+            if !epi.ops().is_empty() {
+                for (idx, e) in vals.iter_mut().enumerate() {
+                    *e = epi.apply(*e, idx % cout) as i32;
+                }
+            }
+            ConvOutput::Int32(vals)
+        }
+        Some(bits) => {
+            let mut t = BitTensor4::zeros(batch, ph, pw, cout, bits, Encoding::ZeroOne);
+            for (idx, &acc) in vals.iter().enumerate() {
+                let (pix, co) = (idx / cout, idx % cout);
+                let (b, py, px) = (pix / (ph * pw), (pix / pw) % ph, pix % pw);
+                t.set_code(b, py, px, co, epi.apply_to_code(acc, co));
+            }
+            ConvOutput::Packed(t)
+        }
     }
 }
 

@@ -1,16 +1,18 @@
-//! Functional multi-threaded CPU backend for APMM.
+//! Functional CPU backend for APMM.
 //!
 //! This is the "real compute" path: bit-packed rows, XOR/AND + popcount
-//! inner loops (the CPU equivalent of the tensor-core `bmma` pipeline), and
-//! Rayon data parallelism over output rows. The Criterion benches measure
-//! this engine; its results are validated against the naive i32 oracle and
-//! against the fragment-level [`crate::emulate::ap_bit_mm`].
+//! inner loops (the CPU equivalent of the tensor-core `bmma` pipeline). One
+//! sequential driver, `apmm_exec_seq`, runs every APMM: compiled
+//! inference calls it with workspace scratch, and the allocating
+//! `execute` forms call it with fresh scratch. Parallelism lives one level
+//! up, in batch shards (`CompiledNet::infer_batched_into`). Results are
+//! validated against the naive i32 oracle and against the fragment-level
+//! [`crate::emulate::ap_bit_mm`].
 
 use apnn_bitpack::{BitPlanes, PopcntArm};
-use rayon::prelude::*;
 
 use super::ApmmDesc;
-use crate::autotune::{select_micro, MicroTile};
+use crate::autotune::MicroTile;
 use crate::micro::{popc_tile, PlaneView, MAX_TILE};
 use crate::select::{adjust_partial, EmulationCase, EmulationPlan};
 
@@ -44,151 +46,11 @@ pub fn weight_row_sums(w: &BitPlanes, eplan: EmulationPlan) -> Vec<Vec<i32>> {
     }
 }
 
-/// Compute the decoded `m×n` i32 product with the default (Ampere) plan.
-pub fn apmm_cpu(desc: &ApmmDesc, w: &BitPlanes, x: &BitPlanes) -> Vec<i32> {
-    apmm_cpu_with_plan(desc, w, x, desc.plan())
-}
-
-/// Compute with an explicit emulation plan — e.g.
-/// [`crate::select::plan_xor_only`] for Turing-class (XOR-only) targets.
-///
-/// Tile selection goes through the same shape-keyed
-/// [`select_micro`] memo the plan compiler uses, so hammering this
-/// entry point re-selects nothing after the first call per shape.
-pub fn apmm_cpu_with_plan(
-    desc: &ApmmDesc,
-    w: &BitPlanes,
-    x: &BitPlanes,
-    eplan: EmulationPlan,
-) -> Vec<i32> {
-    let arm = PopcntArm::detect();
-    let micro = select_micro(
-        desc.n,
-        w.plane(0).words_per_row(),
-        desc.w_bits,
-        desc.x_bits,
-        arm,
-    );
-    apmm_cpu_tuned(desc, w, x, eplan, micro, arm)
-}
-
-/// [`apmm_cpu_with_plan`] with an explicit microkernel tile — the knob the
-/// differential proptests and the kernel-level bench sweep turn. Any tile
-/// is bit-identical (exact i32 accumulation); only throughput moves.
-pub fn apmm_cpu_with_micro(
-    desc: &ApmmDesc,
-    w: &BitPlanes,
-    x: &BitPlanes,
-    eplan: EmulationPlan,
-    micro: MicroTile,
-) -> Vec<i32> {
-    apmm_cpu_tuned(desc, w, x, eplan, micro, PopcntArm::detect())
-}
-
-/// [`apmm_cpu_with_micro`] with an explicit popcount arm as well — the
-/// fully-pinned entry point the arm-differential proptests and the bench
-/// arm sweep drive. Every `(tile, arm)` pair is bit-identical.
-pub fn apmm_cpu_tuned(
-    desc: &ApmmDesc,
-    w: &BitPlanes,
-    x: &BitPlanes,
-    eplan: EmulationPlan,
-    micro: MicroTile,
-    arm: PopcntArm,
-) -> Vec<i32> {
-    // The ad-hoc path promises a full `m×n` product; only the prepared
-    // (compiled-plan) path may serve partial batch shards.
-    assert_eq!(x.rows(), desc.n, "activation rows");
-    apmm_exec(desc, w, x, eplan, None, micro, arm)
-}
-
-/// Shared core: multiply packed `w` (rows = output features) against packed
-/// `x` (rows = batch; may carry *fewer* rows than `desc.n` when a compiled
-/// plan serves a partial shard). `w_row_sums_pre` supplies precomputed
-/// weight corrections from a prepared kernel; `None` computes them on the
-/// fly (the ad-hoc path).
-pub(crate) fn apmm_exec(
-    desc: &ApmmDesc,
-    w: &BitPlanes,
-    x: &BitPlanes,
-    eplan: EmulationPlan,
-    w_row_sums_pre: Option<&[Vec<i32>]>,
-    micro: MicroTile,
-    arm: PopcntArm,
-) -> Vec<i32> {
-    let m = desc.m;
-    let n = x.rows();
-    assert!(n <= desc.n, "activation batch exceeds plan batch");
-    let (p, q) = (desc.w_bits as usize, desc.x_bits as usize);
-    let k_valid = desc.k as i32;
-    assert_eq!(
-        w.plane(0).padded_cols(),
-        x.plane(0).padded_cols(),
-        "operands must share padded K"
-    );
-    let mut y = vec![0i32; m * n];
-    if n == 0 {
-        // A zero-row shard is a legal (empty) product: return the `m × 0`
-        // output instead of handing `par_chunks_mut` a fabricated width.
-        return y;
-    }
-
-    // Correction vectors (bit-plane sums). The weight side is loop-invariant
-    // across calls and comes precomputed from prepared kernels; the
-    // activation side depends on this call's operand.
-    let (needs_row, needs_col) = correction_needs(eplan.case);
-    let x_col_sums: Vec<Vec<i32>> = if needs_col {
-        (0..q).map(|t| x.plane(t as u32).row_sums()).collect()
-    } else {
-        Vec::new()
-    };
-    let w_row_sums_local;
-    let w_row_sums: &[Vec<i32>] = match w_row_sums_pre {
-        Some(pre) => pre,
-        None => {
-            w_row_sums_local = weight_row_sums(w, eplan);
-            &w_row_sums_local
-        }
-    };
-
-    let MicroTile { jb, kb } = micro.sanitized();
-    let arm = arm.sanitized();
-    let w_view = PlaneView::from_bitplanes(w);
-    let x_view = PlaneView::from_bitplanes(x);
-    y.par_chunks_mut(n).enumerate().for_each_init(
-        // One accumulator tile per pool participant, reused across every
-        // output row it claims (popc_tile zeroes the live prefix itself).
-        || [0i32; MAX_TILE],
-        |tile, (i, row_out)| {
-            let mut j0 = 0;
-            while j0 < n {
-                let jbc = jb.min(n - j0);
-                let live = &mut tile[..jbc * p * q];
-                popc_tile(eplan.op, arm, &w_view, i, &x_view, j0, jbc, kb, live);
-                combine_apmm_block(
-                    eplan.case,
-                    live,
-                    (p, q),
-                    k_valid,
-                    j0,
-                    |s| if needs_row { w_row_sums[s][i] } else { 0 },
-                    |t, j| if needs_col { x_col_sums[t][j] } else { 0 },
-                    &mut row_out[j0..j0 + jbc],
-                );
-                j0 += jbc;
-            }
-        },
-    );
-    y
-}
-
 /// Consume one popcount tile block for a `jbc`-wide batch-column block:
 /// apply the §3.2 correction ([`adjust_partial`]) and the shift-add
 /// combination, in the same s-outer / t-inner order as the
-/// pre-microkernel kernels (bit-identical results). This is the
-/// **single** copy of the APMM combination arithmetic — the parallel and
-/// sequential paths both consume their tiles here; only the correction
-/// lookups differ (closures, so each path keeps its own table layout).
+/// pre-microkernel kernels (bit-identical results). The correction
+/// lookups are closures over the driver's flat tables.
 #[allow(clippy::too_many_arguments)]
 fn combine_apmm_block(
     case: EmulationCase,
@@ -242,11 +104,13 @@ impl ApmmScratch {
     }
 }
 
-/// Sequential zero-allocation core of the prepared path: identical
-/// arithmetic (same per-element accumulation order, hence bit-identical
-/// results) to [`apmm_exec`], but running on the **calling thread** with
-/// every buffer caller-owned. Serving workers are the concurrency unit for
-/// this path; the thread-pool path above stays for ad-hoc/batch calls.
+/// The APMM driver: multiply packed `w` (rows = output features) against
+/// packed `x` (rows = batch; may carry *fewer* rows than `desc.n` when a
+/// compiled plan serves a partial shard) on the **calling thread**, with
+/// every buffer caller-owned. `w_row_sums` are the weight-side corrections
+/// from [`weight_row_sums`]; `col_sums` is rebuilt per call. Once the
+/// buffers have reached the plan's full-batch capacity the call performs
+/// zero heap allocations.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn apmm_exec_seq(
     desc: &ApmmDesc,
@@ -321,6 +185,7 @@ pub(crate) fn apmm_exec_seq(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apmm::Apmm;
     use crate::emulate::decoded_reference;
     use apnn_bitpack::Encoding;
 
@@ -357,7 +222,7 @@ mod tests {
             let x = BitPlanes::from_codes(&xc, n, k, q, Encoding::ZeroOne);
             let desc = ApmmDesc::unsigned(m, n, k, p, q);
             assert_eq!(
-                apmm_cpu(&desc, &w, &x),
+                Apmm::new(desc).execute(&w, &x),
                 decoded_reference(&w, &x),
                 "shape {m}x{n}x{k} w{p}a{q}"
             );
@@ -371,7 +236,7 @@ mod tests {
         let w = BitPlanes::from_signed_binary(&rand_signs(m * k, &mut seed), m, k);
         let x = BitPlanes::from_signed_binary(&rand_signs(n * k, &mut seed), n, k);
         let desc = ApmmDesc::w1aq(m, n, k, 1, Encoding::PlusMinusOne);
-        assert_eq!(apmm_cpu(&desc, &w, &x), decoded_reference(&w, &x));
+        assert_eq!(Apmm::new(desc).execute(&w, &x), decoded_reference(&w, &x));
     }
 
     #[test]
@@ -383,7 +248,11 @@ mod tests {
             let x =
                 BitPlanes::from_codes(&rand_codes(n * k, q, &mut seed), n, k, q, Encoding::ZeroOne);
             let desc = ApmmDesc::w1aq(m, n, k, q, Encoding::ZeroOne);
-            assert_eq!(apmm_cpu(&desc, &w, &x), decoded_reference(&w, &x), "w1a{q}");
+            assert_eq!(
+                Apmm::new(desc).execute(&w, &x),
+                decoded_reference(&w, &x),
+                "w1a{q}"
+            );
         }
     }
 
@@ -402,7 +271,7 @@ mod tests {
             w_enc: Encoding::ZeroOne,
             x_enc: Encoding::PlusMinusOne,
         };
-        assert_eq!(apmm_cpu(&desc, &w, &x), decoded_reference(&w, &x));
+        assert_eq!(Apmm::new(desc).execute(&w, &x), decoded_reference(&w, &x));
     }
 
     #[test]
@@ -436,14 +305,17 @@ mod tests {
             };
             let w = mk(m, p, w_enc, &mut seed);
             let x = mk(n, q, x_enc, &mut seed);
-            let ampere = apmm_cpu(&desc, &w, &x);
-            let turing = apmm_cpu_with_plan(&desc, &w, &x, plan_xor_only(w_enc, x_enc));
+            let ampere = Apmm::new(desc).execute(&w, &x);
+            let turing = Apmm::new(desc)
+                .prepare(w)
+                .with_plan(plan_xor_only(w_enc, x_enc))
+                .execute(&x);
             assert_eq!(ampere, turing, "{w_enc:?}/{x_enc:?} w{p}a{q}");
         }
     }
 
     #[test]
-    fn sequential_workspace_core_matches_pooled_path_every_case() {
+    fn sequential_core_matches_oracle_every_case_and_shard() {
         let mut seed = 37;
         let cases = [
             (Encoding::ZeroOne, Encoding::ZeroOne, 3u32, 2u32),
@@ -472,7 +344,7 @@ mod tests {
             let w = mk(m, p, w_enc, &mut seed);
             let x = mk(n, q, x_enc, &mut seed);
             let eplan = desc.plan();
-            let pooled = apmm_cpu(&desc, &w, &x);
+            let want = decoded_reference(&w, &x);
 
             let w_sums = weight_row_sums(&w, eplan);
             let micro = MicroTile { jb: 4, kb: 2 };
@@ -490,7 +362,7 @@ mod tests {
                 &mut col_sums,
                 &mut out,
             );
-            assert_eq!(out, pooled, "{w_enc:?}/{x_enc:?} w{p}a{q}");
+            assert_eq!(out, want, "{w_enc:?}/{x_enc:?} w{p}a{q}");
 
             // Partial shard through the same reused buffers.
             let half = n / 2;
@@ -518,7 +390,7 @@ mod tests {
             );
             for i in 0..m {
                 for j in 0..half {
-                    assert_eq!(out[i * half + j], pooled[i * n + j]);
+                    assert_eq!(out[i * half + j], want[i * n + j]);
                 }
             }
         }
@@ -526,10 +398,10 @@ mod tests {
 
     #[test]
     fn zero_row_batches_yield_empty_products_on_every_path() {
-        // Regression: the parallel path used to hand `par_chunks_mut` a
-        // fabricated chunk width of `n.max(1)` for zero-row batches; the
-        // empty shard must produce the (empty) `m × 0` product on both the
-        // pooled and the sequential-workspace path, without panicking.
+        // Regression: a zero-row shard once got a fabricated chunk width of
+        // `n.max(1)`; the empty shard must produce the (empty) `m × 0`
+        // product on both the allocating and the workspace form, without
+        // panicking.
         let mut seed = 41;
         let (m, k, p, q) = (7, 200, 2u32, 2u32);
         let wc = rand_codes(m * k, p, &mut seed);
@@ -540,7 +412,7 @@ mod tests {
         let micro = MicroTile { jb: 8, kb: 16 };
 
         let arm = PopcntArm::detect();
-        let y = apmm_exec(&desc, &w, &x0, eplan, None, micro, arm);
+        let y = Apmm::new(desc).prepare(w.clone()).execute(&x0);
         assert!(y.is_empty(), "m×0 product must be empty");
 
         let w_sums = weight_row_sums(&w, eplan);
@@ -569,11 +441,14 @@ mod tests {
         let xc = rand_codes(n * k, q, &mut seed);
         let w = BitPlanes::from_codes(&wc, m, k, p, Encoding::ZeroOne);
         let x = BitPlanes::from_codes(&xc, n, k, q, Encoding::ZeroOne);
-        let desc = ApmmDesc::unsigned(m, n, k, p, q);
         let want = decoded_reference(&w, &x);
+        let prepared = Apmm::new(ApmmDesc::unsigned(m, n, k, p, q)).prepare(w);
         for jb in [1usize, 2, 3, 8] {
             for kb in [1usize, 4, 64] {
-                let got = apmm_cpu_with_micro(&desc, &w, &x, desc.plan(), MicroTile { jb, kb });
+                let got = prepared
+                    .clone()
+                    .with_micro(MicroTile { jb, kb })
+                    .execute(&x);
                 assert_eq!(got, want, "jb={jb} kb={kb}");
             }
         }
@@ -585,18 +460,19 @@ mod tests {
         let (m, n, k, p, q) = (11, 17, 290, 3, 2);
         let w = BitPlanes::from_codes(&rand_codes(m * k, p, &mut seed), m, k, p, Encoding::ZeroOne);
         let x = BitPlanes::from_codes(&rand_codes(n * k, q, &mut seed), n, k, q, Encoding::ZeroOne);
-        let desc = ApmmDesc::unsigned(m, n, k, p, q);
         let want = decoded_reference(&w, &x);
+        let prepared = Apmm::new(ApmmDesc::unsigned(m, n, k, p, q))
+            .prepare(w)
+            .with_micro(MicroTile { jb: 4, kb: 16 });
         for arm in PopcntArm::ALL {
-            let got = apmm_cpu_tuned(&desc, &w, &x, desc.plan(), MicroTile { jb: 4, kb: 16 }, arm);
+            let got = prepared.clone().with_arm(arm).execute(&x);
             assert_eq!(got, want, "{arm:?}");
         }
     }
 
     #[test]
     fn ad_hoc_entry_point_reuses_the_shape_keyed_memo() {
-        // Satellite contract: `apmm_cpu` must not re-run tile selection on
-        // every call — the first call per shape selects (and, in measured
+        // `Apmm::execute` must not re-run tile selection on every call — the first call per shape selects (and, in measured
         // mode, benches) once; repeats move neither counter. The shape is
         // unique to this test so the first call is a guaranteed memo miss.
         let mut seed = 53;
@@ -606,12 +482,12 @@ mod tests {
         let desc = ApmmDesc::unsigned(m, n, k, p, q);
 
         let s = crate::stats::scope();
-        let y1 = apmm_cpu(&desc, &w, &x);
+        let y1 = Apmm::new(desc).execute(&w, &x);
         assert_eq!(s.micro_tunes(), 1, "first call per shape selects once");
         assert!(s.micro_benches() <= 1);
         let (tunes, benches) = (s.micro_tunes(), s.micro_benches());
-        let y2 = apmm_cpu(&desc, &w, &x);
-        let y3 = apmm_cpu(&desc, &w, &x);
+        let y2 = Apmm::new(desc).execute(&w, &x);
+        let y3 = Apmm::new(desc).execute(&w, &x);
         assert_eq!(
             (s.micro_tunes(), s.micro_benches()),
             (tunes, benches),
@@ -628,6 +504,9 @@ mod tests {
         let w = BitPlanes::from_codes(&rand_codes(m * k, p, &mut seed), m, k, p, Encoding::ZeroOne);
         let x = BitPlanes::from_codes(&rand_codes(n * k, q, &mut seed), n, k, q, Encoding::ZeroOne);
         let desc = ApmmDesc::unsigned(m, n, k, p, q);
-        assert_eq!(apmm_cpu(&desc, &w, &x), crate::emulate::ap_bit_mm(&w, &x));
+        assert_eq!(
+            Apmm::new(desc).execute(&w, &x),
+            crate::emulate::ap_bit_mm(&w, &x)
+        );
     }
 }

@@ -7,8 +7,8 @@
 //! memory/registers (§4.1(b)).
 //!
 //! Three execution paths share one tiling:
-//! * [`Apmm::execute`] — functional multi-threaded CPU compute (bit-serial
-//!   words + popcount), the "real" engine measured by the Criterion benches.
+//! * [`Apmm::execute`] — functional CPU compute (bit-serial words +
+//!   popcount) on the one sequential driver, `cpu::apmm_exec_seq`.
 //! * [`Apmm::simulate`] — closed-form counter estimate priced by the
 //!   `apnn-sim` cost model (fast, any problem size).
 //! * [`simmap::run_functional`] — the tiled algorithm executed block-by-block
@@ -22,10 +22,10 @@ pub mod simmap;
 
 pub use config::TileConfig;
 
-use apnn_bitpack::{BitPlanes, Encoding};
+use apnn_bitpack::{BitPlanes, Encoding, PopcntArm};
 use apnn_sim::{GpuSpec, KernelReport};
 
-use crate::autotune::autotune;
+use crate::autotune::{autotune, select_micro, MicroTile};
 use crate::fusion::Epilogue;
 use crate::select::{plan, EmulationPlan};
 
@@ -156,10 +156,28 @@ impl Apmm {
     }
 
     /// Functional CPU execution: returns the row-major `m×n` i32 product of
-    /// the decoded operands.
+    /// the decoded operands. Thin wrapper over the one sequential driver
+    /// with fresh scratch; the weight corrections and the microkernel tile
+    /// are derived per call (the tile through the shape-keyed
+    /// [`select_micro`] memo, so repeats re-select nothing). Hot loops
+    /// [`Apmm::prepare`] once instead.
     pub fn execute(&self, w: &BitPlanes, x: &BitPlanes) -> Vec<i32> {
         self.desc.check_operands(w, x);
-        cpu::apmm_cpu(&self.desc, w, x)
+        let plan = self.desc.plan();
+        let (micro, arm) = default_micro(&self.desc, w);
+        let mut out = Vec::new();
+        cpu::apmm_exec_seq(
+            &self.desc,
+            w,
+            x,
+            plan,
+            &cpu::weight_row_sums(w, plan),
+            micro,
+            arm,
+            &mut Vec::new(),
+            &mut out,
+        );
+        out
     }
 
     /// Functional CPU execution with a fused epilogue. When the epilogue
@@ -183,14 +201,7 @@ impl Apmm {
         crate::stats::count_weight_prepare();
         let plan = self.desc.plan();
         let w_row_sums = cpu::weight_row_sums(&weights, plan);
-        let arm = apnn_bitpack::PopcntArm::detect();
-        let micro = crate::autotune::select_micro(
-            self.desc.n,
-            weights.plane(0).words_per_row(),
-            self.desc.w_bits,
-            self.desc.x_bits,
-            arm,
-        );
+        let (micro, arm) = default_micro(&self.desc, &weights);
         PreparedApmm {
             desc: self.desc,
             tile: self.tile,
@@ -213,6 +224,20 @@ impl Apmm {
     }
 }
 
+/// The microkernel tile and popcount arm a layer runs with unless a caller
+/// pins them: the detected arm and the shape-keyed measured tile.
+fn default_micro(desc: &ApmmDesc, w: &BitPlanes) -> (MicroTile, PopcntArm) {
+    let arm = PopcntArm::detect();
+    let micro = select_micro(
+        desc.n,
+        w.plane(0).words_per_row(),
+        desc.w_bits,
+        desc.x_bits,
+        arm,
+    );
+    (micro, arm)
+}
+
 /// An APMM kernel compiled for serving: packed weights + emulation plan +
 /// correction vectors, all materialized once (§4.1 batched emulation with
 /// the per-call setup hoisted out of the hot loop).
@@ -223,9 +248,9 @@ pub struct PreparedApmm {
     /// Block tiling chosen at compile time.
     pub tile: TileConfig,
     /// Operator-selection plan fixed at compile time.
-    pub plan: crate::select::EmulationPlan,
-    micro: crate::autotune::MicroTile,
-    arm: apnn_bitpack::PopcntArm,
+    pub plan: EmulationPlan,
+    micro: MicroTile,
+    arm: PopcntArm,
     weights: BitPlanes,
     w_row_sums: Vec<Vec<i32>>,
 }
@@ -239,28 +264,38 @@ impl PreparedApmm {
     /// The CPU microkernel `(JB, KB)` tile this plan executes with (chosen
     /// at prepare time by [`crate::autotune::autotune_micro`]; same
     /// accessor pair as [`crate::apconv::PreparedConv`]).
-    pub fn micro(&self) -> crate::autotune::MicroTile {
+    pub fn micro(&self) -> MicroTile {
         self.micro
     }
 
     /// Replace the microkernel tile (bench sweeps, differential tests) —
     /// every value is bit-identical.
-    pub fn with_micro(mut self, micro: crate::autotune::MicroTile) -> Self {
+    pub fn with_micro(mut self, micro: MicroTile) -> Self {
         self.micro = micro;
         self
     }
 
     /// The popcount arm this plan's microkernel runs on (bound once at
-    /// prepare time by [`apnn_bitpack::PopcntArm::detect`]).
-    pub fn arm(&self) -> apnn_bitpack::PopcntArm {
+    /// prepare time by [`PopcntArm::detect`]).
+    pub fn arm(&self) -> PopcntArm {
         self.arm
     }
 
     /// Force a popcount arm (tests, benches, CI force-arm legs). An arm
     /// the CPU cannot run is clamped to the detected best; every arm is
     /// bit-identical.
-    pub fn with_arm(mut self, arm: apnn_bitpack::PopcntArm) -> Self {
+    pub fn with_arm(mut self, arm: PopcntArm) -> Self {
         self.arm = arm.sanitized();
+        self
+    }
+
+    /// Replace the emulation plan — e.g. [`crate::select::plan_xor_only`]
+    /// for Turing-class (XOR-only) targets — and rebuild the `W·J` weight
+    /// sums the new plan's correction consumes. Every plan for the
+    /// operands' encodings is bit-identical.
+    pub fn with_plan(mut self, plan: EmulationPlan) -> Self {
+        self.w_row_sums = cpu::weight_row_sums(&self.weights, plan);
+        self.plan = plan;
         self
     }
 
@@ -274,18 +309,11 @@ impl PreparedApmm {
     }
 
     /// Row-major `m × x.rows()` i32 product, reusing every precomputed
-    /// artifact.
+    /// artifact: [`PreparedApmm::execute_into`] over fresh scratch.
     pub fn execute(&self, x: &BitPlanes) -> Vec<i32> {
-        self.check_acts(x);
-        cpu::apmm_exec(
-            &self.desc,
-            &self.weights,
-            x,
-            self.plan,
-            Some(&self.w_row_sums),
-            self.micro,
-            self.arm,
-        )
+        let mut out = Vec::new();
+        self.execute_into(x, &mut cpu::ApmmScratch::default(), &mut out);
+        out
     }
 
     /// [`PreparedApmm::execute`] with a fused epilogue (packed output when
@@ -298,9 +326,7 @@ impl PreparedApmm {
     /// Sequential workspace form of [`PreparedApmm::execute`]: the raw
     /// `m × x.rows()` product lands in `out`, every intermediate lives in
     /// `scratch`, and — once the buffers have reached the plan's full-batch
-    /// capacity — the call performs **zero heap allocations**. Results are
-    /// bit-identical to the thread-pool path (integer-exact kernels, same
-    /// per-element accumulation order).
+    /// capacity — the call performs **zero heap allocations**.
     pub fn execute_into(&self, x: &BitPlanes, scratch: &mut cpu::ApmmScratch, out: &mut Vec<i32>) {
         self.check_acts(x);
         let cpu::ApmmScratch { col_sums, .. } = scratch;
@@ -352,7 +378,7 @@ impl PreparedApmm {
 
 /// Apply a fused epilogue to raw `m×n` accumulators: packed (transposed)
 /// output when the chain quantizes, epilogue-transformed i32 otherwise.
-/// Single implementation shared by the ad-hoc and prepared paths.
+/// Single implementation shared by the ad-hoc and prepared forms.
 fn finish_fused(mut y: Vec<i32>, m: usize, n: usize, epi: &Epilogue) -> FusedOutput {
     match epi.output_bits() {
         Some(bits) => FusedOutput::Packed(combine::quantize_pack_transposed(&y, m, n, epi, bits)),

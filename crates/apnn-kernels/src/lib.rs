@@ -12,7 +12,7 @@
 //!   products from `p·q` one-bit `bmma` calls plus shift-add combination.
 //! * [`apmm`] — arbitrary-precision matrix multiplication (§4.1) with
 //!   batch-based double caching and memory-efficient bit combination;
-//!   functional multi-threaded CPU execution plus simulated-GPU latency.
+//!   one sequential CPU driver per op plus simulated-GPU latency.
 //! * [`apconv`] — arbitrary-precision convolution (§4.2) with channel-major
 //!   NPHWC data organization and input-aware padding.
 //! * [`mod@autotune`] — the TLP/CI performance model and tile-size search

@@ -82,20 +82,6 @@ impl<'a> PlaneView<'a> {
         }
     }
 
-    /// View per-plane owned rows (the allocating conv window gather).
-    pub fn from_plane_rows(rows: &'a [Vec<u64>], words_per_row: usize) -> Self {
-        assert!(rows.len() <= MAX_PLANES, "plane counts are 1..=8");
-        let mut planes: [&'a [u64]; MAX_PLANES] = [&[]; MAX_PLANES];
-        for (s, slot) in planes.iter_mut().enumerate().take(rows.len()) {
-            *slot = &rows[s];
-        }
-        PlaneView {
-            planes,
-            n_planes: rows.len(),
-            words_per_row,
-        }
-    }
-
     /// Plane count.
     #[inline]
     pub fn n_planes(&self) -> usize {

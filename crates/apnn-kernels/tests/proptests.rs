@@ -2,9 +2,9 @@
 //! invariants, epilogue safety.
 
 use apnn_bitpack::{BitPlanes, BitTensor4, Encoding, Layout, PopcntArm, Tensor4};
-use apnn_kernels::apconv::cpu::{conv_cpu_tuned, ConvScratch};
+use apnn_kernels::apconv::cpu::ConvScratch;
 use apnn_kernels::apconv::{ApConv, ConvDesc, ConvWeights};
-use apnn_kernels::apmm::cpu::{apmm_cpu_tuned, ApmmScratch};
+use apnn_kernels::apmm::cpu::ApmmScratch;
 use apnn_kernels::apmm::{simmap, Apmm, ApmmDesc, TileConfig};
 use apnn_kernels::autotune::{
     autotune, compute_intensity, thread_level_parallelism, MicroTile, TILE_CANDIDATES,
@@ -139,10 +139,9 @@ proptest! {
     /// The microkernel differential: for any shape, any encoding pair
     /// (all seven `EmulationCase`s — the four Ampere cases plus the three
     /// XOR-only derivations), any `(JB, KB)` block size, any available
-    /// popcount arm and any partial shard, the tiled kernels are
-    /// **bit-identical** to the naive decoded i32 oracle — on the ad-hoc
-    /// parallel path, the prepared path and the sequential workspace path
-    /// alike.
+    /// popcount arm and any partial shard, the tiled kernel is
+    /// **bit-identical** to the naive decoded i32 oracle — through the
+    /// allocating and the workspace form of a prepared kernel alike.
     #[test]
     fn microkernel_matches_oracle_across_cases_blocks_and_shards(
         m in 1usize..14, n in 1usize..22, k in 1usize..280,
@@ -169,20 +168,21 @@ proptest! {
         let arm = arms[arm_sel % arms.len()];
         let oracle = decoded_reference(&w, &x);
 
-        // Ad-hoc parallel path, Ampere or XOR-only (Turing) plan.
+        // Full batch, Ampere or XOR-only (Turing) plan, pinned tile + arm.
         let eplan = plan_for_device(w_enc, x_enc, !xor_only);
-        prop_assert_eq!(
-            &apmm_cpu_tuned(&desc, &w, &x, eplan, micro, arm),
-            &oracle,
-            "ad-hoc {:?} jb={} kb={} arm={}", eplan.case, jb, kb, arm.label()
-        );
-
-        // Prepared path (partial shard) + sequential workspace path.
-        let shard = shard_sel % (n + 1);
         let prepared = Apmm::with_tile(desc, TileConfig::new(32, 32))
             .prepare(w)
+            .with_plan(eplan)
             .with_micro(micro)
             .with_arm(arm);
+        prop_assert_eq!(
+            &prepared.execute(&x),
+            &oracle,
+            "full {:?} jb={} kb={} arm={}", eplan.case, jb, kb, arm.label()
+        );
+
+        // Partial shard: allocating form vs workspace form vs the oracle.
+        let shard = shard_sel % (n + 1);
         let xs = if x_signed {
             BitPlanes::from_signed_binary(&x.values()[..shard * k], shard, k)
         } else {
@@ -203,10 +203,13 @@ proptest! {
     /// The conv form of the differential: any stride/pad geometry (the
     /// stride-1 shift-reuse gather included), any encoding pair, any
     /// block size, any available popcount arm and any partial shard
-    /// equals the naive conv oracle.
+    /// equals the naive conv oracle. Batches run 1..=7, so the allocating
+    /// form's per-image fan-out meets the inline single-image path and
+    /// batches that do not divide evenly over any Rayon pool of up to 7
+    /// threads.
     #[test]
     fn conv_microkernel_matches_oracle_across_blocks_and_shards(
-        batch in 1usize..3, cin in 1usize..6, hw in 3usize..8,
+        batch in 1usize..=7, cin in 1usize..6, hw in 3usize..8,
         cout in 1usize..10, kk in 1usize..=3,
         stride in 1usize..=2, pad in 0usize..=1,
         p in 1u32..=3, q in 1u32..=3,
@@ -252,18 +255,18 @@ proptest! {
         let micro = MicroTile { jb, kb };
         let arms = PopcntArm::available();
         let arm = arms[arm_sel % arms.len()];
-        prop_assert_eq!(
-            &conv_cpu_tuned(&desc, &weights, &input, micro, arm),
-            &oracle,
-            "parallel conv jb={} kb={} arm={}", jb, kb, arm.label()
-        );
-
-        // Prepared sequential path on a partial shard.
-        let shard = 1 + (seed as usize) % batch;
         let prepared = ApConv::new(desc)
             .prepare(weights)
             .with_micro(micro)
             .with_arm(arm);
+        prop_assert_eq!(
+            &prepared.execute(&input),
+            &oracle,
+            "image-sharded conv jb={} kb={} arm={}", jb, kb, arm.label()
+        );
+
+        // Workspace form on a partial shard.
+        let shard = 1 + (seed as usize) % batch;
         let mut scratch = ConvScratch::default();
         let mut out = Vec::new();
         prepared.execute_into(&input.batch_slice(0, shard), &mut scratch, &mut out);

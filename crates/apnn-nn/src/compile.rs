@@ -21,8 +21,8 @@
 //!   activations (the §5.1 minimal-traffic dataflow), producing real
 //!   logits; repeated [`CompiledNet::infer`] calls reuse the compiled
 //!   artifacts — no weight re-packing, no re-autotuning — and
-//!   [`CompiledNet::infer_batched`] shards large request batches over the
-//!   Rayon pool.
+//!   [`CompiledNet::infer_batched_into`] shards large request batches over
+//!   the Rayon pool.
 
 use apnn_bitpack::word::pad_to_bmma_k;
 use apnn_bitpack::{BitPlanes, BitTensor4, Encoding, PopcntArm};
@@ -598,17 +598,6 @@ impl CompiledNet {
         engine.execute(self, input, &mut ws)
     }
 
-    /// Run an engine over this plan, reusing a caller-owned workspace —
-    /// the steady-state serving form (see [`ExecWorkspace`]).
-    pub fn run_with<'a, E: Engine>(
-        &self,
-        engine: &E,
-        input: E::Input<'a>,
-        ws: &mut E::Workspace,
-    ) -> E::Output {
-        engine.execute(self, input, ws)
-    }
-
     /// Price the plan on the simulated GPU (convenience for
     /// [`SimEngine`]).
     pub fn report(&self, spec: &GpuSpec) -> NetworkReport {
@@ -634,27 +623,16 @@ impl CompiledNet {
         WorkspaceSpec::for_plan(self)
     }
 
-    /// Functional inference on a packed feature map. Returns logits as
-    /// `batch × classes`, row-major.
+    /// Functional inference on a packed feature map ([`BitTensor4`], conv
+    /// networks) or packed feature vectors ([`BitPlanes`], rows = batch,
+    /// all-linear networks). Returns logits as `batch × classes`,
+    /// row-major.
     ///
     /// Thin wrapper owning a transient [`ExecWorkspace`]; hot loops should
-    /// hold a workspace and call [`CompiledNet::infer_into`] instead.
-    pub fn infer(&self, input: &BitTensor4) -> Vec<i32> {
-        self.run(&CpuEngine, ActInput::Map(input))
-    }
-
-    /// Functional inference on packed feature vectors (all-linear plans):
-    /// rows = batch, cols = features. Thin wrapper owning a transient
-    /// workspace, like [`CompiledNet::infer`].
-    pub fn infer_vec(&self, input: &BitPlanes) -> Vec<i32> {
-        self.run(&CpuEngine, ActInput::Vec(input))
-    }
-
-    /// Functional inference reusing a caller-owned workspace; returns
-    /// freshly allocated logits. See [`CompiledNet::infer_into`] for the
-    /// fully allocation-free form.
-    pub fn infer_with(&self, input: &BitTensor4, ws: &mut ExecWorkspace) -> Vec<i32> {
-        self.run_with(&CpuEngine, ActInput::Map(input), ws)
+    /// hold a workspace and call [`CompiledNet::infer_into`], and large
+    /// request batches go through [`CompiledNet::infer_batched_into`].
+    pub fn infer<'a>(&self, input: impl Into<ActInput<'a>>) -> Vec<i32> {
+        self.run(&CpuEngine, input.into())
     }
 
     /// Allocation-free steady-state inference: activations flow through
@@ -663,25 +641,13 @@ impl CompiledNet {
     /// capacity, `out` after the first call — the call performs **zero
     /// heap allocations**, for full and partial shards alike. Results are
     /// bit-identical to [`CompiledNet::infer`].
-    pub fn infer_into(&self, input: &BitTensor4, ws: &mut ExecWorkspace, out: &mut Vec<i32>) {
-        cpu_execute_into(self, ActInput::Map(input), ws, out);
-    }
-
-    /// [`CompiledNet::infer_into`] for packed feature vectors (all-linear
-    /// plans).
-    pub fn infer_vec_into(&self, input: &BitPlanes, ws: &mut ExecWorkspace, out: &mut Vec<i32>) {
-        cpu_execute_into(self, ActInput::Vec(input), ws, out);
-    }
-
-    /// Serve a large request batch by sharding it over the Rayon pool with
-    /// a transient [`WorkspacePool`]. Thin wrapper over
-    /// [`CompiledNet::infer_batched_into`]; hot loops should hold a
-    /// long-lived pool and call that form instead.
-    pub fn infer_batched(&self, input: &BitTensor4) -> Vec<i32> {
-        let pool = self.workspace_pool(rayon::current_num_threads().max(1));
-        let mut out = Vec::new();
-        self.infer_batched_into(input, &pool, 0, &mut out);
-        out
+    pub fn infer_into<'a>(
+        &self,
+        input: impl Into<ActInput<'a>>,
+        ws: &mut ExecWorkspace,
+        out: &mut Vec<i32>,
+    ) {
+        cpu_execute_into(self, input.into(), ws, out);
     }
 
     /// A [`WorkspacePool`] for this plan holding at most `max` workspaces
@@ -947,6 +913,18 @@ pub enum ActInput<'a> {
     Map(&'a BitTensor4),
     /// Packed feature vectors (all-linear networks).
     Vec(&'a BitPlanes),
+}
+
+impl<'a> From<&'a BitTensor4> for ActInput<'a> {
+    fn from(t: &'a BitTensor4) -> Self {
+        ActInput::Map(t)
+    }
+}
+
+impl<'a> From<&'a BitPlanes> for ActInput<'a> {
+    fn from(v: &'a BitPlanes) -> Self {
+        ActInput::Vec(v)
+    }
 }
 
 /// Executes a compiled plan functionally on the CPU (real bit-packed
@@ -2349,7 +2327,9 @@ mod tests {
             let input = BitTensor4::from_tensor(&codes, 8, Encoding::ZeroOne);
             plan.infer_into(&input, &mut ws, &mut out);
             assert_eq!(out, plan.infer(&input), "shard of {n}");
-            assert_eq!(plan.infer_with(&input, &mut ws), out);
+            let mut again = Vec::new();
+            plan.infer_into(&input, &mut ws, &mut again);
+            assert_eq!(again, out, "second pass through the same workspace");
         }
     }
 
@@ -2453,7 +2433,9 @@ mod tests {
             ((11 * b + 3 * c + 5 * h + 7 * w) % 256) as u32
         });
         let input = BitTensor4::from_tensor(&codes, 8, Encoding::ZeroOne);
-        let sharded = plan.infer_batched(&input);
+        let pool = plan.workspace_pool(rayon::current_num_threads());
+        let mut sharded = Vec::new();
+        plan.infer_batched_into(&input, &pool, 0, &mut sharded);
         // Reference: image-by-image.
         let mut want = Vec::new();
         for b in 0..n {

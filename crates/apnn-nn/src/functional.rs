@@ -158,7 +158,7 @@ impl QuantNet {
     /// Run inference on packed feature *vectors* (all-linear networks):
     /// `input` rows = batch, cols = features.
     pub fn infer_vec(&self, input: &BitPlanes) -> Vec<i32> {
-        self.plan.infer_vec(input)
+        self.plan.infer(input)
     }
 
     /// Output classes (from the last linear stage).
@@ -177,7 +177,7 @@ impl QuantNet {
         &self.plan
     }
 
-    /// Extract the compiled plan (for `infer_batched`, simulator pricing,
+    /// Extract the compiled plan (for `infer_batched_into`, simulator pricing,
     /// …).
     pub fn into_plan(self) -> CompiledNet {
         self.plan

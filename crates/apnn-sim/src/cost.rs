@@ -19,14 +19,12 @@
 //! * `shmem_time` / `cuda_core_time` — same serial-rounds shape, covering
 //!   the bit-combination epilogues and fused element-wise layers (§5.2).
 
-use serde::{Deserialize, Serialize};
-
 use crate::counters::Counters;
 use crate::launch::{KernelConfig, Occupancy};
 use crate::spec::GpuSpec;
 
 /// Which roofline term determined the kernel latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bound {
     /// Tensor-core issue rate.
     TensorCore,
@@ -43,7 +41,7 @@ pub enum Bound {
 }
 
 /// Fully itemized simulated kernel latency.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CostBreakdown {
     /// Tensor-core pipeline time (s).
     pub tensor_s: f64,

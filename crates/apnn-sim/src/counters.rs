@@ -1,13 +1,11 @@
 //! Performance counters recorded by simulated kernels.
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregated event counts for one kernel (or one thread block).
 ///
 /// These are the only quantities the cost model consumes, which keeps the
 /// model auditable: a kernel's simulated latency is a pure function of
 /// `(GpuSpec, KernelConfig, Counters)`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Number of `bmma.8x8x128` instructions issued.
     pub bmma_ops: u64,

@@ -1,14 +1,12 @@
 //! Kernel launch: occupancy computation and block execution.
 
-use serde::{Deserialize, Serialize};
-
 use crate::block::BlockCtx;
 use crate::cost::{price, CostBreakdown};
 use crate::counters::Counters;
 use crate::spec::{GpuSpec, Precision};
 
 /// Launch configuration of a simulated kernel.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KernelConfig {
     /// Thread blocks in the grid.
     pub grid_blocks: usize,
@@ -43,7 +41,7 @@ impl KernelConfig {
 }
 
 /// Result of the occupancy calculation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Occupancy {
     /// Co-resident blocks per SM allowed by the resource limits.
     pub blocks_per_sm: u32,
@@ -94,7 +92,7 @@ pub fn occupancy_for(spec: &GpuSpec, cfg: &KernelConfig) -> Occupancy {
 }
 
 /// Full kernel execution report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KernelReport {
     /// Aggregate counters over all blocks.
     pub counters: Counters,

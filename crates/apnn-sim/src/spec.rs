@@ -6,10 +6,8 @@
 //! effective-efficiency calibration constants are documented inline and in
 //! `DESIGN.md` §6.
 
-use serde::{Deserialize, Serialize};
-
 /// Matrix-pipeline precisions relevant to the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// 1-bit tensor-core `bmma` (XOR or AND + popcount).
     Int1,
@@ -37,7 +35,7 @@ impl Precision {
 }
 
 /// A GPU model: everything the roofline/occupancy cost model consumes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GpuSpec {
     /// Marketing name, e.g. `"RTX 3090"`.
     pub name: String,

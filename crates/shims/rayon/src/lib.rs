@@ -4,9 +4,9 @@
 //! workspace ships a minimal, dependency-free implementation of the rayon
 //! API surface the APNN-TC codebase actually uses:
 //!
-//! * `slice.par_chunks_mut(n).enumerate().for_each(f)` — the kernel inner
-//!   loops (APMM rows, APConv pixels, baseline GEMM rows) and the
-//!   batch-shard fan-out of `apnn_nn::CompiledNet::infer_batched_into`;
+//! * `slice.par_chunks_mut(n).enumerate().for_each(f)` — the batch-shard
+//!   fan-outs (`apnn_nn::CompiledNet::infer_batched_into` and the
+//!   allocating APConv's image shards) and the baseline GEMM rows;
 //! * [`current_num_threads`] — pool sizing for batch sharding.
 //!
 //! Parallelism is real and, like upstream rayon, runs on a **persistent
@@ -107,8 +107,8 @@ impl<'a, T> EnumerateParChunksMut<'a, T> {
     /// Visit every `(index, chunk)` pair in parallel, threading a
     /// per-participant state built by `init` (matching rayon's
     /// `for_each_init`): each participant builds one state and reuses it
-    /// across every chunk it claims — the hook the kernels use to hoist a
-    /// stack accumulator tile out of the per-chunk work.
+    /// across every chunk it claims — the hook the allocating APConv uses to
+    /// keep one window scratch per participant.
     pub fn for_each_init<I, S, F>(self, init: I, f: F)
     where
         T: Send,

@@ -4,7 +4,7 @@
 //! Part 1 compiles a zoo model (VGG-Variant-Tiny, w1a2) once —
 //! fusion, tile autotuning, weight packing, correction vectors and
 //! quantization-range calibration all happen here — then serves a batch of
-//! requests through `infer_batched` (real bit-serial compute, packed §5.1
+//! requests through `infer_batched_into` (real bit-serial compute, packed §5.1
 //! activations between layers, sharded over the Rayon pool).
 //!
 //! Part 2 prices the *same kind of plan* on the latency model: the Fig.
@@ -44,7 +44,9 @@ fn main() {
         rng.gen_range(0..256)
     });
     let input = BitTensor4::from_tensor(&codes, 8, Encoding::ZeroOne);
-    let logits = plan.infer_batched(&input);
+    let pool = plan.workspace_pool(2);
+    let mut logits = Vec::new();
+    plan.infer_batched_into(&input, &pool, 0, &mut logits);
 
     println!("served {requests} requests through the compiled plan:");
     let classes = plan.classes();

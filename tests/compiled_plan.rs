@@ -6,7 +6,7 @@
 //! * The same lowering priced on `SimEngine` reproduces the pre-refactor
 //!   `exec::simulate` numbers bit-for-bit, for every zoo model and
 //!   precision scheme.
-//! * Repeated `infer()` / `infer_batched()` calls reuse the compiled plan:
+//! * Repeated `infer()` / `infer_batched_into()` calls reuse the compiled plan:
 //!   no weight re-packing, no re-autotuning.
 
 use apnn_tc::bitpack::{BitTensor4, Encoding, Layout, Tensor4};
@@ -25,7 +25,7 @@ use apnn_tc::sim::GpuSpec;
 // tests in this binary run concurrently without perturbing each other —
 // the guard/handle API exists precisely so parallel `cargo test` and serve
 // workers don't corrupt each other's counters. A scope only sees its own
-// thread, so preparation sneaking into `infer_batched`'s *pool threads*
+// thread, so preparation sneaking into `infer_batched_into`'s *pool threads*
 // would escape it here; the CI matrix closes that gap by also running the
 // suite with RAYON_NUM_THREADS=1, where the shim pool executes inline on
 // this thread and any such regression lands in the scope.
@@ -436,7 +436,9 @@ fn repeated_inference_reuses_the_compiled_plan() {
         (lcg(&mut seed) as u32) % 256
     });
     let big = BitTensor4::from_tensor(&big_codes, 8, Encoding::ZeroOne);
-    let logits = plan.infer_batched(&big);
+    let pool = plan.workspace_pool(2);
+    let mut logits = Vec::new();
+    plan.infer_batched_into(&big, &pool, 0, &mut logits);
     assert_eq!(logits.len(), 5 * 10);
     assert_eq!(serving.autotune_calls(), 0);
     assert_eq!(serving.weight_prepares(), 0);

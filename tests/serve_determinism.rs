@@ -3,7 +3,7 @@
 //! checked into `tests/golden/`).
 
 use apnn_tc::bitpack::{BitTensor4, Encoding, Layout, Tensor4};
-use apnn_tc::nn::NetPrecision;
+use apnn_tc::nn::{CompiledNet, NetPrecision};
 use apnn_tc::serve::{ModelKey, PlanRegistry, ServeConfig, Server};
 
 const BATCH: usize = 3;
@@ -29,6 +29,14 @@ fn fixed_input() -> BitTensor4 {
 /// Stand up a fresh server, push the fixed request set through both
 /// servable zoo models, and return every request's logits in submission
 /// order.
+/// Logits for a request batch wider than the compiled batch, sharded over
+/// the Rayon pool.
+fn batched(plan: &CompiledNet, input: &BitTensor4) -> Vec<i32> {
+    let mut out = Vec::new();
+    plan.infer_batched_into(input, &plan.workspace_pool(2), 0, &mut out);
+    out
+}
+
 fn serve_once(workers: usize) -> Vec<Vec<i32>> {
     let server = Server::new(
         PlanRegistry::zoo(BATCH, SEED),
@@ -76,11 +84,11 @@ fn independently_compiled_registries_host_bit_identical_plans() {
     let a = PlanRegistry::zoo(BATCH, SEED).get(&key).unwrap();
     let b = PlanRegistry::zoo(BATCH, SEED).get(&key).unwrap();
     let input = fixed_input();
-    assert_eq!(a.infer_batched(&input), b.infer_batched(&input));
+    assert_eq!(batched(&a, &input), batched(&b, &input));
     // A different weight seed really does change the plan (the equality
     // above is not vacuous).
     let c = PlanRegistry::zoo(BATCH, SEED + 1).get(&key).unwrap();
-    assert_ne!(a.infer_batched(&input), c.infer_batched(&input));
+    assert_ne!(batched(&a, &input), batched(&c, &input));
 }
 
 /// Golden snapshots: every servable zoo model (`vgg_variant_tiny`,
@@ -118,7 +126,7 @@ fn golden_mixed_schedule_logits_match_snapshot() {
 
 fn golden_check(key: &ModelKey, input: &BitTensor4) {
     let plan = PlanRegistry::zoo(BATCH, SEED).get(key).unwrap();
-    let logits = plan.infer_batched(input);
+    let logits = batched(&plan, input);
     let classes = plan.classes();
     let path = format!(
         "{}/tests/golden/{}_{}.txt",

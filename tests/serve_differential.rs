@@ -263,13 +263,17 @@ fn pooled_parallel_path_matches_sequential_infer_for_every_pool_and_thread_count
     }
 }
 
-/// `infer_batched`'s contiguous sharding is one particular partition — it
+/// `infer_batched_into`'s contiguous sharding is one particular partition — it
 /// must agree with the sequential reference too (and with the shard list
 /// the plan advertises).
 #[test]
 fn infer_batched_is_one_partition_of_the_differential_space() {
     for combo in combos() {
-        let flat = combo.plan.infer_batched(&combo.input);
+        let pool = combo.plan.workspace_pool(2);
+        let mut flat = Vec::new();
+        combo
+            .plan
+            .infer_batched_into(&combo.input, &pool, 0, &mut flat);
         let classes = combo.plan.classes();
         for (req, want) in combo.reference.iter().enumerate() {
             assert_eq!(

@@ -61,7 +61,9 @@ fn remainder_shard_of_size_one() {
     let shards = plan.shards(n);
     assert_eq!(shards.last(), Some(&Shard { start: 8, len: 1 }));
     let input = images(n);
-    let flat = plan.infer_batched(&input);
+    let pool = plan.workspace_pool(2);
+    let mut flat = Vec::new();
+    plan.infer_batched_into(&input, &pool, 0, &mut flat);
     let classes = plan.classes();
     for i in 0..n {
         assert_eq!(
